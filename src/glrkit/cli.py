@@ -81,7 +81,7 @@ def _build_model(args: argparse.Namespace, cfg: OptimizerConfig):
         if any(v is None for v in needed):
             raise ValueError("two-binomial model needs --x1 --n1 --x2 --n2")
         data = models.TwoBinomialData(args.x1, args.n1, args.x2, args.n2)
-        return models.two_binomial_model(data, cfg)
+        return models.two_binomial_model(data)
     if args.model == "paired-normal":
         if args.data is None or args.interest is None:
             raise ValueError(

@@ -27,9 +27,9 @@ from .optimize import (
     NumericError,
     OptimizerConfig,
     find_root_1d,
-    maximize_1d,
     maximize_box,
 )
+from .optimize import maximize_1d  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .regions import (
     EmptyRegionError,
     Interval,
@@ -71,6 +71,12 @@ class LikelihoodModel:
     finite clip.  ``interest`` names the scalar axis used for support sets
     and profile curves; models with nuisance parameters expose them already
     profiled out inside ``log_lik``.
+
+    ``log_lik_array`` is optional and only for one-parameter models: the same
+    log-likelihood evaluated elementwise on a float array of axis values,
+    returning an array of the same shape.  Support sets and profile curves
+    then scan their grids in one call instead of one ``log_lik`` call per
+    point; without it they fall back to that per-point loop.
     """
 
     space: ParameterSpace
@@ -78,6 +84,7 @@ class LikelihoodModel:
     search_bounds: Mapping[str, tuple[float, float]]
     interest: str | None = None
     name: str = "model"
+    log_lik_array: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         for pname in self.space.names:
@@ -88,6 +95,8 @@ class LikelihoodModel:
                 )
         if self.interest is not None:
             self.space.param(self.interest)
+        if self.log_lik_array is not None and len(self.space.params) != 1:
+            raise ValueError("log_lik_array requires a one-parameter model")
 
     def scalar_axis(self) -> str:
         if self.interest is not None:
@@ -110,6 +119,21 @@ class LikelihoodModel:
             raise ValueError(f"unknown axis {axis!r}")
         f = self.log_lik
         return lambda x: f({name: x})
+
+    def axis_log_lik_values(self, axis: str, xs: np.ndarray) -> np.ndarray:
+        """Log-likelihood at every axis value in ``xs``, NaN read as -inf:
+        one ``log_lik_array`` call when the model has it, else a loop."""
+        f = self.axis_log_lik(axis)
+        if self.log_lik_array is None:
+            values = np.array([f(x) for x in xs], dtype=float)
+        else:
+            values = np.asarray(self.log_lik_array(xs), dtype=float)
+            if values.shape != xs.shape:
+                raise ValueError(
+                    f"log_lik_array returned shape {values.shape} for "
+                    f"{xs.shape} inputs"
+                )
+        return np.where(np.isnan(values), -math.inf, values)
 
 
 def strength_label(ratio: float) -> str:
@@ -248,38 +272,6 @@ def _clip_to_search(iv: Interval, search: tuple[float, float]) -> tuple[float, f
     return iv.hi, iv.hi
 
 
-def _maximize_over_box(
-    model: LikelihoodModel,
-    box: Sequence[tuple[float, float]],
-    cfg: OptimizerConfig,
-) -> MaxResult:
-    names = model.space.names
-
-    def point(values: Sequence[float]) -> dict[str, float]:
-        return dict(zip(names, values))
-
-    free = [i for i, (lo, hi) in enumerate(box) if lo < hi]
-    if not free:
-        values = [lo for lo, _ in box]
-        v = model.log_lik(point(values))
-        v = -math.inf if math.isnan(v) else v
-        return MaxResult(tuple(values), v, 0, True)
-    if len(free) == 1:
-        i = free[0]
-
-        def f(t: float) -> float:
-            values = [lo for lo, _ in box]
-            values[i] = t
-            return model.log_lik(point(values))
-
-        inner = maximize_1d(f, box[i][0], box[i][1], cfg)
-        values = [lo for lo, _ in box]
-        values[i] = inner.argmax[0]
-        return MaxResult(tuple(values), inner.max_value, inner.iterations,
-                         inner.converged)
-    return maximize_box(lambda v: model.log_lik(point(v)), box, cfg)
-
-
 def sup_log_lik(
     model: LikelihoodModel,
     region: Region,
@@ -296,6 +288,11 @@ def sup_log_lik(
     if region.is_empty:
         raise EmptyRegionError("supremum over an empty region is undefined")
     closed = region.closure()
+
+    names = model.space.names
+
+    def objective(values: Sequence[float]) -> float:
+        return model.log_lik(dict(zip(names, values)))
 
     best: MaxResult | None = None
     total_iters = 0
@@ -314,14 +311,14 @@ def sup_log_lik(
                 _clip_to_search(iv, model.search_bounds[p.name])
                 for iv, p in zip(combo, model.space.params)
             ]
-            result = _maximize_over_box(model, box, cfg)
+            result = maximize_box(objective, box, cfg)
             total_iters += result.iterations
             all_converged = all_converged and result.converged
             if best is None or result.max_value > best.max_value:
                 best = result
     assert best is not None  # non-empty regions always yield a candidate
 
-    point = dict(zip(model.space.names, best.argmax))
+    point = dict(zip(names, best.argmax))
     attained = best.max_value == -math.inf or region.contains(point)
     return MaxResult(best.argmax, best.max_value, total_iters, all_converged,
                      attained)
@@ -388,12 +385,15 @@ def support_set(
 
     Scans a grid of ``cfg.scan_points`` over the search interval, refines
     every threshold crossing by bisection, and self-checks that every
-    above-threshold grid point landed inside a reported interval.
+    above-threshold grid point landed inside a reported interval.  Raises
+    :class:`NumericError` when the set runs into a search bound that lies
+    inside the parameter's domain, since it would be cut off there.
     """
     if not k > 1.0:
         raise ValueError(f"support sets require k > 1, got {k}")
     axis, lo, hi = _axis_search_interval(model)
     f = model.axis_log_lik(axis)
+    domain = model.space.domain(axis).closure()
 
     top = sup_log_lik(model, Region.full(model.space), cfg)
     peak_x = top.argmax[0]
@@ -402,13 +402,19 @@ def support_set(
 
     xs = np.linspace(lo, hi, cfg.scan_points)
     xs = np.unique(np.append(xs, peak_x))
-    fs = np.array([f(x) for x in xs])
-    fs = np.where(np.isnan(fs), -math.inf, fs)
+    fs = model.axis_log_lik_values(axis, xs)
     above = fs > threshold
     if not above.any():
         raise NumericError(
             "no grid point exceeds the support threshold; supremum is suspect"
         )
+    for edge, i, inside in ((lo, 0, lo > domain.lo), (hi, -1, hi < domain.hi)):
+        if inside and above[i]:
+            raise NumericError(
+                f"support set is cut off at the search bound {axis}={edge} "
+                f"(log lik {fs[i]:.6g} > threshold {threshold:.6g}); the "
+                "model's search_bounds are too narrow for this k"
+            )
 
     def g(x: float) -> float:
         v = f(x)
@@ -477,14 +483,14 @@ def supported_region_covers_support_set(
     if not (report.log_glr >= log_k - 1e-9 * max(1.0, abs(log_k))):
         return False
     axis, lo, hi = _axis_search_interval(model)
-    f = model.axis_log_lik(axis)
     top = sup_log_lik(model, Region.full(model.space), cfg)
     threshold = top.max_value - math.log(k)
     xs = np.linspace(lo, hi, cfg.scan_points)
+    values = model.axis_log_lik_values(axis, xs)
     tol = 1e-9 * max(1.0, abs(top.max_value))
-    for x in xs:
-        v = f(x)
-        if not math.isnan(v) and v > threshold + tol and not s.contains({axis: x}):
+    above = values > threshold + tol
+    for x, v in zip(xs[above], values[above]):
+        if not s.contains({axis: x}):
             raise NumericError(
                 f"support set escapes the region at {axis}={x} "
                 f"(log lik {v:.6g} > threshold {threshold:.6g})"
@@ -528,10 +534,8 @@ def profile_curve(
             f"grid [{xs[0]}, {xs[-1]}] leaves the feasible range "
             f"[{domain.lo}, {domain.hi}] of {axis!r}"
         )
-    f = model.axis_log_lik(axis)
     top = sup_log_lik(model, Region.full(model.space), cfg)
-    values = np.array([f(x) for x in xs])
-    values = np.where(np.isnan(values), -math.inf, values)
+    values = model.axis_log_lik_values(axis, xs)
     normalized = np.exp(np.minimum(values - top.max_value, 0.0))
     peak_index = int(np.argmax(normalized))
     return ProfileCurve(

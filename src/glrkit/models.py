@@ -21,7 +21,8 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .evidence import LikelihoodModel
-from .optimize import DEFAULT_CONFIG, OptimizerConfig, maximize_1d, maximize_box
+from .optimize import DEFAULT_CONFIG, OptimizerConfig, maximize_box
+from .optimize import maximize_1d  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .regions import Parameter, ParameterSpace
 
 __all__ = [
@@ -148,71 +149,205 @@ class PairedSample:
 # --- binomial ----------------------------------------------------------------
 
 
+def _binomial_terms(x: int, n: int, p: float, q: float) -> float:
+    """x log(p) + (n - x) log(q) for a rate p in [0, 1] and q = 1 - p, with
+    0 * log 0 taken as 0; unchecked."""
+    out = 0.0
+    if x > 0:
+        out += -math.inf if p == 0.0 else x * math.log(p)
+    if n - x > 0:
+        out += -math.inf if q == 0.0 else (n - x) * math.log(q)
+    return out
+
+
+def _binomial_terms_array(x: int, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`_binomial_terms`."""
+    out = np.zeros(p.shape)
+    with np.errstate(divide="ignore"):
+        if x > 0:
+            out += x * np.log(p)
+        if n - x > 0:
+            out += (n - x) * np.log(q)
+    return out
+
+
+def _check_within(name: str, values: np.ndarray, lo: float, hi: float) -> None:
+    if not np.all((values >= lo) & (values <= hi)):
+        raise ValueError(f"{name} values outside [{lo}, {hi}]")
+
+
 def binomial_log_lik(data: BinomialData, theta: float) -> float:
     """x log(theta) + (n - x) log(1 - theta), with 0 * log 0 taken as 0."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta={theta} outside [0, 1]")
-    out = 0.0
-    if data.x > 0:
-        out += -math.inf if theta == 0.0 else data.x * math.log(theta)
-    if data.n - data.x > 0:
-        out += -math.inf if theta == 1.0 else (data.n - data.x) * math.log(1.0 - theta)
-    return out
+    return _binomial_terms(data.x, data.n, theta, 1.0 - theta)
 
 
 def binomial_model(data: BinomialData) -> LikelihoodModel:
     space = ParameterSpace.from_bounds(theta=(0.0, 1.0))
+
+    def log_lik_array(thetas: np.ndarray) -> np.ndarray:
+        _check_within("theta", thetas, 0.0, 1.0)
+        return _binomial_terms_array(data.x, data.n, thetas, 1.0 - thetas)
+
     return LikelihoodModel(
         space=space,
         log_lik=lambda p: binomial_log_lik(data, p["theta"]),
         search_bounds={"theta": (0.0, 1.0)},
         interest="theta",
         name=f"binomial(x={data.x}, n={data.n})",
+        log_lik_array=log_lik_array,
     )
 
 
 # --- difference of two binomial proportions ----------------------------------
+#
+# With delta = p1 - p2 fixed, the joint log-likelihood is concave in the
+# baseline rate p2.  Clearing the denominators of its derivative gives the
+# stationarity condition
+#     (x1 - n1 p1) p2 (1 - p2) + (x2 - n2 p2) p1 (1 - p1) = 0,  p1 = p2 + delta,
+# a cubic in p2 whose interior root is the restricted maximum-likelihood
+# estimate (Miettinen & Nurminen 1985, Stat Med 4:213; Farrington & Manning
+# 1990, Stat Med 9:1447).  The profile is the best joint log-likelihood over
+# the cubic's real roots clipped into the feasible interval and both of its
+# endpoints, which also covers x in {0, n} and delta = +-1, where the maximum
+# sits on an endpoint.  A negative delta is the same profile with the groups
+# swapped, so the kernels below take delta >= 0: then p2 ranges over [0, h]
+# with h = 1 - delta, and 1 - p1 = h - p2 keeps its precision when p1 is
+# within rounding of 1.  The cubic formulas place a root only to within
+# rounding of the largest root's size, which is too coarse when h is tiny,
+# so every clipped root takes one Newton step on the unexpanded condition.
 
 
-def two_binomial_profile_log_lik(
-    data: TwoBinomialData,
-    delta: float,
-    cfg: OptimizerConfig = DEFAULT_CONFIG,
-) -> float:
-    """Joint log-likelihood at rate difference delta, maximized over the
-    baseline rate p2 on its feasible interval [max(0, -delta), min(1, 1-delta)].
+def _nuisance_cubic(x1: int, n1: int, x2: int, n2: int, delta):
+    """Coefficients (a, b, c) of the monic stationarity cubic
+    p2^3 + a p2^2 + b p2 + c; works on floats and arrays alike."""
+    total = n1 + n2
+    a = -(total + x1 + x2 - (n1 + 2.0 * n2) * delta) / total
+    b = (x1 - n1 * delta + x2 * (1.0 - 2.0 * delta)
+         - n2 * delta * (1.0 - delta)) / total
+    c = x2 * delta * (1.0 - delta) / total
+    return a, b, c
 
-    The inner objective is concave in p2 (sum of two concave binomial terms),
-    so the interval search is reliable.
-    """
-    if not -1.0 <= delta <= 1.0:
-        raise ValueError(f"delta={delta} outside [-1, 1]")
-    lo = max(0.0, -delta)
-    hi = min(1.0, 1.0 - delta)
+
+_TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+
+
+def _cubic_real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Real roots of p^3 + a p^2 + b p + c: Cardano's formula, written without
+    cancellation, for one real root and the trigonometric form for three."""
+    s = a / 3.0
+    p = b - a * s
+    q = (2.0 * s * s - b) * s + c
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc > 0.0:
+        u = math.cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q))
+        return (u - p / (3.0 * u) - s,)
+    if p == 0.0:  # then q == 0 too: a triple root
+        return (-s,)
+    m = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
+    return tuple(m * math.cos(phi - _TWO_THIRDS_PI * k) - s for k in range(3))
+
+
+def _cubic_real_roots_array(a, b, c) -> np.ndarray:
+    """Elementwise :func:`_cubic_real_roots`, stacked on a new first axis of
+    length 3; the single real root is repeated where there is only one."""
+    s = a / 3.0
+    p = b - a * s
+    q = (2.0 * s * s - b) * s + c
+    disc = 0.25 * q * q + p * p * p / 27.0
+    one = disc > 0.0
+    u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(np.where(one, disc, 0.0)), q))
+    single = u - p / (3.0 * np.where(u == 0.0, 1.0, u)) - s
+    m = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0))
+    ratio = 3.0 * q / np.where(p * m < 0.0, p * m, -1.0)
+    phi = np.arccos(np.clip(ratio, -1.0, 1.0)) / 3.0
+    k = np.arange(3.0).reshape((3,) + (1,) * np.ndim(a))
+    three = m * np.cos(phi - _TWO_THIRDS_PI * k) - s
+    return np.where(one, single, three)
+
+
+def _select(cond: bool, a: float, b: float) -> float:
+    return a if cond else b
+
+
+def _newton_step(x1, n1, x2, n2, delta, h, p2, where=np.where):
+    """One Newton step on the stationarity condition from p2 in [0, h]; may
+    leave [0, h].  Works on arrays, and on floats with ``where=_select``."""
+    p1 = p2 + delta
+    q1 = h - p2
+    q2 = 1.0 - p2
+    # x - n p, written as (x - n) + n q where p is near 1
+    r1 = where(p1 > 0.5, (x1 - n1) + n1 * q1, x1 - n1 * p1)
+    r2 = where(p2 > 0.5, (x2 - n2) + n2 * q2, x2 - n2 * p2)
+    g = r1 * p2 * q2 + r2 * p1 * q1
+    dg = r1 * (q2 - p2) - n1 * p2 * q2 + r2 * (q1 - p1) - n2 * p1 * q1
+    return p2 - g / where(dg == 0.0, -math.inf, dg)
+
+
+def _profile_nonneg(x1: int, n1: int, x2: int, n2: int, delta: float) -> float:
+    h = 1.0 - delta
 
     def joint(p2: float) -> float:
-        p1 = min(1.0, max(0.0, p2 + delta))
-        return binomial_log_lik(
-            BinomialData(data.x1, data.n1), p1
-        ) + binomial_log_lik(BinomialData(data.x2, data.n2), p2)
+        return (_binomial_terms(x1, n1, min(1.0, p2 + delta), h - p2)
+                + _binomial_terms(x2, n2, p2, 1.0 - p2))
 
-    return maximize_1d(joint, lo, hi, cfg).max_value
+    best = max(joint(0.0), joint(h))
+    for root in _cubic_real_roots(*_nuisance_cubic(x1, n1, x2, n2, delta)):
+        p2 = min(h, max(0.0, root))
+        p2 = _newton_step(x1, n1, x2, n2, delta, h, p2, where=_select)
+        best = max(best, joint(min(h, max(0.0, p2))))
+    return best
 
 
-def two_binomial_model(
-    data: TwoBinomialData,
-    cfg: OptimizerConfig = DEFAULT_CONFIG,
-) -> LikelihoodModel:
+def _profile_nonneg_array(
+    x1: int, n1: int, x2: int, n2: int, deltas: np.ndarray
+) -> np.ndarray:
+    h = 1.0 - deltas
+    roots = _cubic_real_roots_array(*_nuisance_cubic(x1, n1, x2, n2, deltas))
+    roots = _newton_step(x1, n1, x2, n2, deltas, h, np.clip(roots, 0.0, h))
+    p2 = np.concatenate([np.zeros_like(h)[None], h[None], np.clip(roots, 0.0, h)])
+    joint = (_binomial_terms_array(x1, n1, np.minimum(1.0, p2 + deltas), h - p2)
+             + _binomial_terms_array(x2, n2, p2, 1.0 - p2))
+    return joint.max(axis=0)
+
+
+def two_binomial_profile_log_lik(data: TwoBinomialData, delta: float) -> float:
+    """Joint log-likelihood at rate difference delta, maximized over the
+    baseline rate p2 on its feasible interval [max(0, -delta), min(1, 1-delta)]
+    in closed form (see the section comment above)."""
+    if not -1.0 <= delta <= 1.0:
+        raise ValueError(f"delta={delta} outside [-1, 1]")
+    if delta < 0.0:
+        return _profile_nonneg(data.x2, data.n2, data.x1, data.n1, -delta)
+    return _profile_nonneg(data.x1, data.n1, data.x2, data.n2, delta)
+
+
+def _two_binomial_profile_log_lik_array(
+    data: TwoBinomialData, deltas: np.ndarray
+) -> np.ndarray:
+    """:func:`two_binomial_profile_log_lik` at every element of ``deltas``."""
+    _check_within("delta", deltas, -1.0, 1.0)
+    out = np.empty(deltas.shape)
+    neg = deltas < 0.0
+    out[~neg] = _profile_nonneg_array(data.x1, data.n1, data.x2, data.n2, deltas[~neg])
+    out[neg] = _profile_nonneg_array(data.x2, data.n2, data.x1, data.n1, -deltas[neg])
+    return out
+
+
+def two_binomial_model(data: TwoBinomialData) -> LikelihoodModel:
     space = ParameterSpace.from_bounds(delta=(-1.0, 1.0))
     return LikelihoodModel(
         space=space,
-        log_lik=lambda p: two_binomial_profile_log_lik(data, p["delta"], cfg),
+        log_lik=lambda p: two_binomial_profile_log_lik(data, p["delta"]),
         search_bounds={"delta": (-1.0, 1.0)},
         interest="delta",
         name=(
             f"two-binomial(x1={data.x1}, n1={data.n1}, "
             f"x2={data.x2}, n2={data.n2})"
         ),
+        log_lik_array=lambda deltas: _two_binomial_profile_log_lik_array(data, deltas),
     )
 
 

@@ -214,7 +214,15 @@ def maximize_box(
 
     if len(free) == 1:
         i = free[0]
-        inner = maximize_1d(lambda t: f(embed((t,))), bounds[i][0], bounds[i][1], cfg)
+        template = embed((bounds[i][0],))
+
+        def along(t: float) -> float:
+            # hot loop of every one-axis supremum: cheaper than embed()
+            point = template.copy()
+            point[i] = t
+            return f(point)
+
+        inner = maximize_1d(along, bounds[i][0], bounds[i][1], cfg)
         return MaxResult(
             tuple(embed(inner.argmax)), inner.max_value,
             inner.iterations, inner.converged,

@@ -159,6 +159,29 @@ class TestSupportSet:
         assert lo == 0.0
         assert hi == pytest.approx(1.0 - math.exp(-math.log(8.0) / 10.0), abs=1e-8)
 
+    def test_cut_off_at_a_search_bound_inside_the_domain_raises(self):
+        # log lik -mu^2/2 is -0.5 at the bounds +-1, far above the 1e3
+        # threshold -6.91: the reported set would be silently truncated
+        narrow = gk.LikelihoodModel(
+            space=gk.ParameterSpace((gk.Parameter("mu"),)),
+            log_lik=lambda p: -0.5 * p["mu"] ** 2,
+            search_bounds={"mu": (-1.0, 1.0)},
+        )
+        with pytest.raises(gk.NumericError, match="search bound"):
+            gk.support_set(narrow, 1e3)
+        # with k small enough the set ends inside the bounds
+        lo, hi = gk.support_set(narrow, 1.5).intervals[0]
+        half = math.sqrt(2.0 * math.log(1.5))
+        assert lo == pytest.approx(-half, abs=1e-8)
+        assert hi == pytest.approx(half, abs=1e-8)
+
+    def test_search_bound_on_the_domain_edge_is_not_a_cut(self):
+        # theta = 1 closes the binomial domain; nothing lies beyond it
+        model = gk.binomial_model(gk.BinomialData(10, 10))
+        lo, hi = gk.support_set(model, 8.0).intervals[0]
+        assert hi == 1.0
+        assert lo == pytest.approx(math.exp(-math.log(8.0) / 10.0), abs=1e-8)
+
 
 class TestCoverage:
     def test_region_beating_complement_covers_its_support_set(self):

@@ -1,10 +1,13 @@
 """Binomial, two-group binomial profile, and paired bivariate-normal models."""
 
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glrkit as gk
 from glrkit.models import _log_lik_from_stats
@@ -90,6 +93,159 @@ class TestTwoBinomial:
         assert gk.two_binomial_profile_log_lik(self.D, 1.0) == -math.inf
         with pytest.raises(ValueError):
             gk.two_binomial_profile_log_lik(self.D, 1.5)
+
+    def test_array_form_rejects_out_of_range_deltas(self):
+        model = gk.two_binomial_model(self.D)
+        with pytest.raises(ValueError):
+            model.log_lik_array(np.array([0.0, 1.5]))
+
+
+def golden_section_profile(data, delta):
+    """The former numeric profile, kept as an oracle: golden-section search
+    of the joint log-likelihood over the baseline rate p2."""
+    lo, hi = max(0.0, -delta), min(1.0, 1.0 - delta)
+
+    def joint(p2):
+        p1 = min(1.0, max(0.0, p2 + delta))
+        return gk.binomial_log_lik(
+            gk.BinomialData(data.x1, data.n1), p1
+        ) + gk.binomial_log_lik(gk.BinomialData(data.x2, data.n2), p2)
+
+    return gk.maximize_1d(joint, lo, hi).max_value
+
+
+def counts(draw, n):
+    """Successes out of n, mostly the degenerate 0 and n."""
+    return draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+
+
+@st.composite
+def two_binomial_data(draw):
+    n1 = draw(st.integers(1, 400))
+    n2 = draw(st.integers(1, 400))
+    return gk.TwoBinomialData(counts(draw, n1), n1, counts(draw, n2), n2)
+
+
+class TestTwoBinomialClosedForm:
+    # The oracle forms p1 = p2 + delta in floating point, which cannot
+    # resolve 1 - p1 when delta is within rounding of +-1 (see the next
+    # test), so the random delta keeps 1e-3 away from +-1; the exact
+    # endpoints are always checked.
+    @settings(max_examples=150, deadline=None)
+    @given(data=two_binomial_data(), other=st.floats(-0.999, 0.999))
+    def test_matches_golden_section_oracle(self, data, other):
+        for delta in (-1.0, 0.0, 1.0, data.delta_hat, other):
+            got = gk.two_binomial_profile_log_lik(data, delta)
+            want = golden_section_profile(data, delta)
+            if want == -math.inf:
+                assert got == -math.inf
+            else:
+                assert got == pytest.approx(want, abs=1e-9)
+
+    def test_keeps_precision_next_to_delta_one(self):
+        # delta = 1 - 2^-53 leaves p2 in [0, 2^-53]; with one success in
+        # group 2 and one failure in group 1 the profile is
+        # max log(p2) + log(2^-53 - p2) = 2 log(2^-54)
+        data = gk.TwoBinomialData(0, 1, 1, 1)
+        delta = 1.0 - 2.0**-53
+        expected = -108.0 * math.log(2.0)
+        assert gk.two_binomial_profile_log_lik(data, delta) == pytest.approx(
+            expected, abs=1e-9)
+        mirrored = gk.TwoBinomialData(1, 1, 0, 1)
+        assert gk.two_binomial_profile_log_lik(mirrored, -delta) == pytest.approx(
+            expected, abs=1e-9)
+        arr = gk.two_binomial_model(data).log_lik_array(np.array([delta]))
+        assert arr[0] == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=two_binomial_data())
+    def test_array_form_matches_scalar_form(self, data):
+        deltas = np.concatenate(
+            [[-1.0, 0.0, 1.0, data.delta_hat], np.linspace(-1.0, 1.0, 201)]
+        )
+        arr = gk.two_binomial_model(data).log_lik_array(deltas)
+        for delta, a in zip(deltas, arr):
+            s = gk.two_binomial_profile_log_lik(data, float(delta))
+            if math.isinf(s):
+                assert a == s
+            else:
+                # a last-bit difference between numpy's and math's log or
+                # cube root is all that may separate the two forms
+                assert abs(a - s) <= 1e-12 * max(1.0, abs(s))
+
+    def test_binomial_array_form_matches_scalar_form(self):
+        for x, n in ((0, 7), (7, 7), (9, 17)):
+            model = gk.binomial_model(gk.BinomialData(x, n))
+            thetas = np.linspace(0.0, 1.0, 101)
+            arr = model.log_lik_array(thetas)
+            for theta, a in zip(thetas, arr):
+                s = gk.binomial_log_lik(gk.BinomialData(x, n), float(theta))
+                assert a == s or abs(a - s) <= 1e-12 * max(1.0, abs(s))
+
+
+def scan_models():
+    return [
+        gk.binomial_model(gk.BinomialData(9, 17)),
+        gk.binomial_model(gk.BinomialData(0, 10)),
+        gk.two_binomial_model(gk.TwoBinomialData(83, 88, 69, 76)),
+        gk.two_binomial_model(gk.TwoBinomialData(12, 12, 0, 30)),
+    ]
+
+
+class TestArrayScans:
+    @pytest.mark.parametrize("model", scan_models(), ids=lambda m: m.name)
+    def test_support_set_same_through_array_and_loop(self, model):
+        loop = dataclasses.replace(model, log_lik_array=None)
+        for k in (8.0, 100.0):
+            a = gk.support_set(model, k)
+            b = gk.support_set(loop, k)
+            assert len(a.intervals) == len(b.intervals)
+            for (alo, ahi), (blo, bhi) in zip(a.intervals, b.intervals):
+                assert alo == pytest.approx(blo, abs=1e-12)
+                assert ahi == pytest.approx(bhi, abs=1e-12)
+            assert a.boundary_log_lik == b.boundary_log_lik
+
+    @pytest.mark.parametrize("model", scan_models(), ids=lambda m: m.name)
+    def test_profile_curve_same_through_array_and_loop(self, model):
+        loop = dataclasses.replace(model, log_lik_array=None)
+        lo, hi = model.search_bounds[model.interest]
+        grid = np.linspace(lo, hi, 801)
+        a = gk.profile_curve(model, grid)
+        b = gk.profile_curve(loop, grid)
+        np.testing.assert_allclose(a.normalized_lik, b.normalized_lik,
+                                   rtol=1e-10, atol=0.0)
+        assert a.peak_index == b.peak_index
+
+    def test_support_set_does_not_scan_point_by_point(self):
+        # guard against sliding back to one scalar log_lik call per grid point
+        model = gk.two_binomial_model(gk.TwoBinomialData(83, 88, 69, 76))
+        calls = 0
+        scalar = model.log_lik
+
+        def counted(point):
+            nonlocal calls
+            calls += 1
+            return scalar(point)
+
+        gk.support_set(dataclasses.replace(model, log_lik=counted), 8.0)
+        assert 0 < calls < gk.OptimizerConfig().scan_points
+
+    def test_array_form_must_keep_the_grid_shape(self):
+        model = gk.binomial_model(gk.BinomialData(9, 17))
+        broken = dataclasses.replace(model, log_lik_array=lambda xs: 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            gk.profile_curve(broken, np.linspace(0.0, 1.0, 11))
+
+    def test_array_form_needs_a_one_parameter_model(self):
+        space = gk.ParameterSpace.from_bounds(a=(0.0, 1.0), b=(0.0, 1.0))
+        with pytest.raises(ValueError):
+            gk.LikelihoodModel(
+                space=space,
+                log_lik=lambda p: 0.0,
+                search_bounds={"a": (0.0, 1.0), "b": (0.0, 1.0)},
+                interest="a",
+                log_lik_array=lambda xs: np.zeros_like(xs),
+            )
 
 
 class TestBivariateNormalDensity:
